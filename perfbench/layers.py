@@ -15,76 +15,79 @@ from __future__ import annotations
 import statistics
 from typing import Any, Dict, List, Tuple
 
-#: (name, unit, better, layer, what it should move)
-CATALOGUE: List[Tuple[str, str, str, str, str]] = [
-    ("gateway.submit_overhead_ms", "ms", "lower", "service.gateway",
-     "submit_latency_* on all workloads"),
-    ("gateway.result_fetch_ms", "ms", "lower", "service.gateway",
-     "job_latency_p50_s, mostly on cache_warm"),
-    ("gateway.result_bytes", "bytes", "lower", "service.gateway",
-     "job_latency_p50_s, mostly on cache_warm"),
-    ("gateway.notify_lag_ms", "ms", "lower", "service.gateway",
-     "job_latency_p50_s on all workloads"),
-    ("gateway.sse_events", "count", "lower", "service.gateway",
-     "poll_latency_* on campaign_chunked"),
-    ("gateway.http_requests", "count", "lower", "service.gateway",
-     "poll_latency_* on campaign_chunked"),
-    ("queue.submit_ms", "ms", "lower", "service.queue",
-     "submit_latency_* on all workloads"),
-    ("queue.wait_ms", "ms", "lower", "service.queue",
-     "job_latency_p50_s on all workloads"),
-    ("queue.execute_s", "s", "lower", "service.queue",
-     "job_latency_* on all workloads"),
-    ("queue.result_payload_ms", "ms", "lower", "service.queue",
-     "job_latency_p50_s on cache_warm and campaign_chunked"),
-    ("jobs.progress_writes", "count", "lower", "service.jobs",
-     "jobs_per_s and job_latency_p50_s on campaign_chunked; none on solve_bound"),
-    ("jobs.progress_write_ms", "ms", "lower", "service.jobs",
-     "jobs_per_s and job_latency_p50_s on campaign_chunked; none on solve_bound"),
-    ("jobs.get_calls", "count", "lower", "service.jobs",
-     "jobs_per_s on campaign_chunked"),
-    ("jobs.finish_ms", "ms", "lower", "service.jobs",
-     "job_latency_p50_s, mostly on cache_warm"),
-    ("jobs.record_phases_ms", "ms", "lower", "service.jobs",
-     "job_latency_p50_s, mostly on cache_warm"),
-    ("jobs.record_trace_ms", "ms", "lower", "service.jobs",
-     "job_latency_p50_s, mostly on cache_warm"),
-    ("snapshot.refreshes", "count", "lower", "service.snapshot",
-     "poll_latency_* on campaign_chunked"),
-    ("snapshot.refresh_ms", "ms", "lower", "service.snapshot",
-     "poll_latency_* on campaign_chunked"),
-    ("scenario.solve_ms", "ms", "lower", "runtime.scenario",
-     "job_latency_p50_s and jobs_per_s on solve_bound; none elsewhere"),
-    ("scenario.run_s", "s", "lower", "runtime.scenario",
-     "job_latency_p50_s on all workloads"),
-    ("campaign.chunks", "count", "lower", "simulation.campaign",
-     "jobs_per_s on campaign_chunked; zero on cache_warm"),
-    ("campaign.chunk_s", "s", "lower", "simulation.campaign",
-     "jobs_per_s on campaign_chunked; zero on cache_warm"),
-    ("campaign.replications_per_s", "1/s", "higher", "simulation.vectorized",
-     "jobs_per_s on campaign_chunked"),
-    ("cache.get_ms", "ms", "lower", "runtime.cache",
-     "job_latency_p50_s on cache_warm"),
-    ("cache.hit_ratio", "ratio", "higher", "runtime.cache",
-     "job_latency_p50_s on cache_warm (0 on campaign_chunked, 1 on cache_warm)"),
-    ("cache.put_ms", "ms", "lower", "runtime.cache",
-     "jobs_per_s on campaign_chunked"),
-    ("cache.put_bytes", "bytes", "lower", "runtime.cache",
-     "jobs_per_s on campaign_chunked"),
-    ("obs.trace_coverage", "ratio", "higher", "obs",
-     "none: rises as spans are added, no end-to-end metric moves"),
-    ("obs.tracing_overhead", "ratio", "higher", "obs",
-     "traced over untraced jobs_per_s"),
-    ("direct.run_ms", "ms", "lower", "attribution",
-     "none: the reference of service_overhead_ratio; kernel and solver changes move it"),
-    ("service_overhead_ratio", "ratio", "lower", "attribution",
-     "job_latency_p50_s over direct.run_ms (target <= 1.5, not gated)"),
-    ("unattributed_ms", "ms", "lower", "attribution",
-     "job_latency_p50_s: the time the layers do not explain"),
-]
-
-UNITS = {name: unit for name, unit, *_ in CATALOGUE}
-MOVES = {name: moves for name, *_, moves in CATALOGUE}
+#: Per-layer metric -> (layer, the end-to-end metric and workload it should
+#: move).  Names, units and directions live in BENCHMARK.json; ``run.py``
+#: refuses to run when the two name sets differ.
+MOVES: Dict[str, Tuple[str, str]] = {
+    "gateway.submit_overhead_ms": (
+        "service.gateway", "submit_latency_* on all workloads"),
+    "gateway.result_fetch_ms": (
+        "service.gateway", "job_latency_p50_s, mostly on cache_warm"),
+    "gateway.result_bytes": (
+        "service.gateway", "job_latency_p50_s, mostly on cache_warm"),
+    "gateway.notify_lag_ms": (
+        "service.gateway", "job_latency_p50_s on all workloads"),
+    "gateway.sse_events": (
+        "service.gateway", "poll_latency_* on campaign_chunked"),
+    "gateway.http_requests": (
+        "service.gateway", "poll_latency_* on campaign_chunked"),
+    "queue.submit_ms": (
+        "service.queue", "submit_latency_* on all workloads"),
+    "queue.wait_ms": (
+        "service.queue", "job_latency_p50_s on all workloads"),
+    "queue.execute_s": (
+        "service.queue", "job_latency_* on all workloads"),
+    "queue.result_payload_ms": (
+        "service.queue", "job_latency_p50_s on cache_warm and campaign_chunked"),
+    "jobs.progress_writes": (
+        "service.jobs",
+        "jobs_per_s and job_latency_p50_s on campaign_chunked; none on solve_bound"),
+    "jobs.progress_write_ms": (
+        "service.jobs",
+        "jobs_per_s and job_latency_p50_s on campaign_chunked; none on solve_bound"),
+    "jobs.get_calls": (
+        "service.jobs", "jobs_per_s on campaign_chunked"),
+    "jobs.finish_ms": (
+        "service.jobs", "job_latency_p50_s, mostly on cache_warm"),
+    "jobs.record_phases_ms": (
+        "service.jobs", "job_latency_p50_s, mostly on cache_warm"),
+    "jobs.record_trace_ms": (
+        "service.jobs", "job_latency_p50_s, mostly on cache_warm"),
+    "snapshot.refreshes": (
+        "service.snapshot", "poll_latency_* on campaign_chunked"),
+    "snapshot.refresh_ms": (
+        "service.snapshot", "poll_latency_* on campaign_chunked"),
+    "scenario.solve_ms": (
+        "runtime.scenario", "job_latency_p50_s and jobs_per_s on solve_bound; none elsewhere"),
+    "scenario.run_s": (
+        "runtime.scenario", "job_latency_p50_s on all workloads"),
+    "campaign.chunks": (
+        "simulation.campaign", "jobs_per_s on campaign_chunked; zero on cache_warm"),
+    "campaign.chunk_s": (
+        "simulation.campaign", "jobs_per_s on campaign_chunked; zero on cache_warm"),
+    "campaign.replications_per_s": (
+        "simulation.vectorized", "jobs_per_s on campaign_chunked"),
+    "cache.get_ms": (
+        "runtime.cache", "job_latency_p50_s on cache_warm"),
+    "cache.hit_ratio": (
+        "runtime.cache",
+        "job_latency_p50_s on cache_warm (0 on campaign_chunked, 1 on cache_warm)"),
+    "cache.put_ms": (
+        "runtime.cache", "jobs_per_s on campaign_chunked"),
+    "cache.put_bytes": (
+        "runtime.cache", "jobs_per_s on campaign_chunked"),
+    "obs.trace_coverage": (
+        "obs", "none: rises as spans are added, no end-to-end metric moves"),
+    "obs.tracing_overhead": (
+        "obs", "traced over untraced jobs_per_s"),
+    "direct.run_ms": (
+        "attribution",
+        "none: the reference of service_overhead_ratio; kernel and solver changes move it"),
+    "service_overhead_ratio": (
+        "attribution", "job_latency_p50_s over direct.run_ms (target <= 1.5, not gated)"),
+    "unattributed_ms": (
+        "attribution", "job_latency_p50_s: the time the layers do not explain"),
+}
 
 
 def metric_total(snapshot: Dict[str, Any], name: str, **labels: str) -> float:

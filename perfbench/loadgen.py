@@ -164,18 +164,18 @@ def run_job(client: ServiceClient, index: int, scenario: Dict[str, Any],
 class Poller(threading.Thread):
     """Open-loop ``GET /v1/jobs/{id}`` of the job in flight on a fixed schedule.
 
-    Poll ``i`` is due at ``start + i / rate``; its latency runs from the due
+    Poll ``i`` is due at ``start + i * interval``; its latency runs from the due
     time to the last byte of the reply, so a stalled reply also delays the
     polls queued behind it.  ``lateness`` records how far behind schedule
     each request was sent.
     """
 
     def __init__(self, host: str, port: int, target, *, start: float,
-                 count: int, rate: float) -> None:
+                 count: int, interval: float) -> None:
         super().__init__(name="perfbench-poller", daemon=True)
         self.host, self.port = host, port
         self.target = target
-        self.start_at, self.count, self.rate = start, count, rate
+        self.start_at, self.count, self.interval = start, count, interval
         self.latencies: List[float] = []
         self.lateness: List[float] = []
         self.failed = 0
@@ -184,7 +184,7 @@ class Poller(threading.Thread):
         conn = http.client.HTTPConnection(self.host, self.port, timeout=TIMEOUT_S)
         try:
             for i in range(self.count):
-                due = self.start_at + i / self.rate
+                due = self.start_at + i * self.interval
                 delay = due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
@@ -220,7 +220,7 @@ class Phase:
 
 
 def run_phase(server: ServerProcess, jobs: Iterable, *, seconds: float,
-              chunk_size: Optional[int], first_job: str, poll_rate: float,
+              chunk_size: Optional[int], first_job: str, poll_interval: float,
               rss_after: Optional[int] = None) -> Phase:
     """Closed loop with one submitter plus the open-loop poller.
 
@@ -234,7 +234,7 @@ def run_phase(server: ServerProcess, jobs: Iterable, *, seconds: float,
     in_flight = [first_job]
     start = time.perf_counter()
     poller = Poller(server.host, server.port, lambda: in_flight[0], start=start,
-                    count=int(round(seconds * poll_rate)), rate=poll_rate)
+                    count=int(round(seconds / poll_interval)), interval=poll_interval)
     poller.start()
     samples: List[JobSample] = []
     rss = None

@@ -37,41 +37,55 @@ if not (ROOT / "src" / "repro" / "__init__.py").is_file():
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(HERE))
 
-from layers import CATALOGUE, MOVES, UNITS, metric_total, per_layer  # noqa: E402
+from layers import MOVES, metric_total, per_layer  # noqa: E402
 from loadgen import BenchError, ServerProcess, run_job, run_phase  # noqa: E402
 from repro.service import ServiceClient  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+#: Metric names and units; the JSON result carries exactly these.
+DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
+END_TO_END = {m["name"]: m["unit"] for m in DECLARED["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in DECLARED["per_layer"]}
+if set(PER_LAYER) != set(MOVES):
+    sys.exit(f"perfbench: BENCHMARK.json and layers.MOVES name different per-layer "
+             f"metrics: {sorted(set(PER_LAYER) ^ set(MOVES))}")
+#: Printed in the table but left out of the JSON result and of
+#: BENCHMARK.json.  Over ten runs of identical code on a 2-vCPU VM with CPU
+#: steal, their spread (interquartile range over median) reached 0.39 (job
+#: latency tail, server GC pauses land in it), 0.74 (submit latency tail)
+#: and 0.33 (the ~1.3 ms poll median on campaign_chunked): past 0.25, the
+#: largest bound a change can be held to.
+PRINTED_ONLY = {"job_latency_tail_s": "s", "submit_latency_tail_ms": "ms",
+                "poll_latency_p50_ms": "ms"}
+
 #: Processes for the direct runs of set-up and of the correctness pass.
 DIRECT_WORKERS = 2
 #: Set-ups per untraced run; setup_s is their median.
-SETUPS = 3
-#: Status polls per second of the timed phase.
-POLL_RATE = 20.0
-#: The server's RSS high-water mark is read after this many timed jobs.
-RSS_AFTER_JOBS = 20
-#: cache_warm pre-fills this many specs per timed second: the phase ends
-#: early only if the service serves warm jobs faster than that.
-PREFILL_JOBS_PER_S = 20
-
-END_TO_END = [
-    ("jobs_per_s", "1/s"),
-    ("job_latency_p50_s", "s"),
-    ("job_latency_tail_s", "s"),
-    ("submit_latency_p50_ms", "ms"),
-    ("submit_latency_tail_ms", "ms"),
-    ("poll_latency_p50_ms", "ms"),
-    ("poll_latency_tail_ms", "ms"),
-    ("server_peak_rss_mb", "MB"),
-    ("setup_s", "s"),
-]
-#: Printed but left out of the JSON result and of BENCHMARK.json's bounds.
-#: Over ten runs of identical code on a 2-vCPU VM with CPU steal, their
-#: spread (interquartile range over median) reached 0.39 (job latency tail,
-#: server GC pauses land in it), 0.74 (submit latency tail) and 0.33 (the
-#: ~1.3 ms poll median on campaign_chunked): past 0.25, the largest bound a
-#: change can be held to.
-UNBOUNDED = {"job_latency_tail_s", "submit_latency_tail_ms", "poll_latency_p50_ms"}
+SETUPS = 5
+#: Seconds between status polls.  ``ServiceClient.wait`` polls every 0.2 s
+#: while a job's progress keeps changing (it backs off only when a poll sees
+#: no change, and every chunk changes it); the poller stands for four such
+#: clients, staggered.  Four, because the tail is read 10 samples from the
+#: top: 500 polls in a 25 s run put it at p98, where the latency climbs
+#: slowly, while one client's 125 polls put it at p92, on the steep part of
+#: the distribution (on campaign_chunked p92 ~15 ms, p98 ~23 ms), and its
+#: spread over five runs of identical code was 0.40 of its median.
+POLL_INTERVAL_S = 0.2 / 4
+#: The server's RSS high-water mark is read after this many timed jobs (or
+#: at the end of a phase that completes fewer).  A fixed count, so that a
+#: faster server does not read higher; 80 is below the ~100 jobs the slowest
+#: workload (campaign_chunked, about 4 jobs/s) completes in 25 s.
+RSS_AFTER_JOBS = 80
+#: cache_warm pre-fills this many specs per timed second.  The fastest
+#: cache_warm run measured served 17.1 jobs/s; a service faster than this
+#: ends the phase when the pool runs out, and jobs_per_s is then taken over
+#: the shorter phase.  The fill is printed but not counted in setup_s: it is
+#: kernel-bound direct runs, and over six runs of identical code a
+#: one-process fill of 376 specs ranged 13.5-21 s (CPU steal on a 2-vCPU
+#: VM), past setup_s's 0.25 bound.
+#: Its program work (a cold run and cache.put) is timed per job on
+#: campaign_chunked.
+PREFILL_JOBS_PER_S = 18
 
 
 def tail(values):
@@ -168,7 +182,7 @@ class Bench:
         before = ServiceClient(server.url).metrics()
         phase = run_phase(server, self.jobs(indices), seconds=seconds,
                           chunk_size=self.workload.chunk_size, first_job=first_job,
-                          poll_rate=POLL_RATE, rss_after=rss_after)
+                          poll_interval=POLL_INTERVAL_S, rss_after=rss_after)
         return phase, before
 
     def verify(self, phase, before, after):
@@ -258,14 +272,15 @@ def timed_run(bench: Bench, seconds: float):
         put(f"{name}_tail_{unit}", value, len(values), f"p{pct:.1f}")
     put("server_peak_rss_mb", phase.rss_peak_mb, 1,
         f"after {min(RSS_AFTER_JOBS, len(phase.samples))} timed jobs")
-    put("setup_s", fill_s + statistics.median(setups), len(setups),
-        f"median server start + warm-up {statistics.median(setups):.3f} s"
-        + (f", cache fill {fill_s:.3f} s" if workload.prefill else ""))
+    put("setup_s", statistics.median(setups), len(setups),
+        "server start + warm-up, median"
+        + (f"; cache fill of {bench.pool_size + 1} specs {fill_s:.3f} s, not counted"
+           if workload.prefill else ""))
     print(f"# workload {workload.name}, seed {bench.seed}, {seconds:g} s timed")
-    for name, unit in END_TO_END:
+    for name, unit in itertools.chain(END_TO_END.items(), PRINTED_ONLY.items()):
         count, note = samples[name]
-        unbounded = " (printed only)" if name in UNBOUNDED else ""
-        print(f"{name:24s} {metrics[name]:12.6g} {unit:4s} n={count:<5d} {note}{unbounded}")
+        printed_only = " (printed only)" if name in PRINTED_ONLY else ""
+        print(f"{name:24s} {metrics[name]:12.6g} {unit:4s} n={count:<5d} {note}{printed_only}")
     late = sorted(phase.poller.lateness)
     print(f"# poll generator lateness: median {1000 * statistics.median(late):.3f} ms, "
           f"max {1000 * late[-1]:.3f} ms")
@@ -275,8 +290,7 @@ def timed_run(bench: Bench, seconds: float):
         "attempted": attempted,
         "failed": failed,
         "metrics": {
-            name: {"value": metrics[name], "unit": unit}
-            for name, unit in END_TO_END if name not in UNBOUNDED
+            name: {"value": metrics[name], "unit": unit} for name, unit in END_TO_END.items()
         },
     }
 
@@ -317,16 +331,16 @@ def traced_run(bench: Bench, seconds: float):
     print(f"# workload {workload.name}, seed {bench.seed}: per-layer metrics over "
           f"{len(traced.done)} traced jobs ({half:g} s), untraced phase "
           f"{len(untraced.done)} jobs ({half:g} s)")
-    layer_of = {name: layer for name, _, _, layer, _ in CATALOGUE}
-    for name, unit, *_ in CATALOGUE:
-        print(f"{layer_of[name]:21s} {name:29s} {layers[name]:12.6g} {unit:5s} -> {MOVES[name]}")
+    for name, unit in PER_LAYER.items():
+        layer, moves = MOVES[name]
+        print(f"{layer:21s} {name:29s} {layers[name]:12.6g} {unit:5s} -> {moves}")
     print("# every per-layer metric above was measured; none is absent")
     attempted, failed = accounting([untraced, traced], failures_a + failures_b)
     return {
         "correct": failed == 0,
         "attempted": attempted,
         "failed": failed,
-        "metrics": {name: {"value": layers[name], "unit": UNITS[name]} for name, *_ in CATALOGUE},
+        "metrics": {name: {"value": layers[name], "unit": unit} for name, unit in PER_LAYER.items()},
     }
 
 
