@@ -4,8 +4,9 @@ The scenario service must remember submitted jobs across process restarts --
 a coordinator that forgets its queue on redeploy cannot serve long-running
 campaigns.  :class:`JobStore` persists every job (its submitted spec, state,
 progress, timings, result and error) in a single-file sqlite3 database, the
-stdlib's crash-safe embedded store; passing no path keeps the same schema in
-a private in-memory database for tests and throwaway servers.
+stdlib's crash-safe embedded store, journalled in WAL mode (see
+:class:`JobStore`); passing no path keeps the same schema in a private
+in-memory database for tests and throwaway servers.
 
 The store is deliberately dumb: it knows nothing about scenarios, engines or
 HTTP.  It offers the five primitives the scheduler needs --
@@ -32,6 +33,7 @@ Job states form a small machine::
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -40,7 +42,7 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.devtools.lockwatch import tracked_lock
@@ -50,6 +52,13 @@ __all__ = ["JOB_STATES", "JobRecord", "JobStore"]
 
 #: Every state a job can be in; the last three are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+
+#: Every column but ``result``: what a finalize returns, since it already
+#: holds the result's text and need not read it back.
+_HEAD_COLUMNS = (
+    "id, kind, spec, dedupe_key, state, chunks_done, chunks_total, error,"
+    " cancel_requested, submitted_at, started_at, finished_at, phases"
+)
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS jobs (
@@ -84,7 +93,10 @@ class JobRecord:
 
     ``spec`` is the submitted request payload (plain JSON data) and
     ``result`` the execution outcome (also plain JSON data), so a record
-    round-trips through the HTTP API without further conversion.
+    round-trips through the HTTP API without further conversion.  The
+    result is held as ``result_json``, the text the store wrote, and decoded
+    only on first access of :attr:`result`: serving a finished job
+    (:meth:`to_json_bytes`) splices that text and never decodes it.
     """
 
     id: str
@@ -94,7 +106,8 @@ class JobRecord:
     dedupe_key: Optional[str] = None
     chunks_done: int = 0
     chunks_total: int = 0
-    result: Optional[Dict[str, Any]] = None
+    #: The result payload's ``json.dumps`` text, encoded once at finalize.
+    result_json: Optional[str] = field(default=None, repr=False)
     error: Optional[str] = None
     cancel_requested: bool = False
     submitted_at: float = 0.0
@@ -103,6 +116,11 @@ class JobRecord:
     #: Per-phase wall-time breakdown recorded at completion (seconds):
     #: ``queue_wait_s`` / ``compute_s`` / ``cache_s`` (see JobScheduler).
     phases: Optional[Dict[str, float]] = None
+
+    @functools.cached_property
+    def result(self) -> Optional[Dict[str, Any]]:
+        """The result payload, decoded from :attr:`result_json` on first access."""
+        return json.loads(self.result_json) if self.result_json is not None else None
 
     @property
     def is_terminal(self) -> bool:
@@ -130,6 +148,17 @@ class JobRecord:
             payload["result"] = self.result
         return payload
 
+    def to_json_bytes(self) -> bytes:
+        """The ``GET /v1/jobs/{id}`` body: ``json.dumps({"job": self.to_dict()})``.
+
+        Byte-identical to that expression, but the result's stored text is
+        spliced in after the record's head (``result`` is the last key of
+        :meth:`to_dict`) instead of being decoded and encoded again.
+        """
+        head = json.dumps({"job": self.to_dict(include_result=False)})
+        result = self.result_json if self.result_json is not None else "null"
+        return f'{head[:-2]}, "result": {result}}}}}'.encode("utf-8")
+
 
 class JobStore:
     """sqlite3-backed store of service jobs, usable from many threads.
@@ -143,11 +172,19 @@ class JobStore:
 
     One connection is shared across threads behind a lock: the store's
     operations are short transactions, and a single writer sidesteps
-    sqlite's writer-starvation corner cases without WAL tuning.
+    sqlite's writer-starvation corner cases.
+
+    A file-backed store runs in WAL mode with ``synchronous=NORMAL``: a
+    commit appends to ``<path>-wal`` (beside ``<path>-shm``, the WAL index)
+    and syncs only at checkpoints, so a state transition costs a write, not
+    the rollback journal's fsyncs.  A crash of the process loses no
+    committed transition; a power loss may roll back the newest ones but
+    never corrupts the database.
 
     Every mutation notifies listeners registered with :meth:`subscribe`
     (the gateway's read snapshot and SSE hub are both fed this way), with
-    the fresh :class:`JobRecord`, on the mutating thread.
+    the :class:`JobRecord` the write produced (``UPDATE ... RETURNING``, no
+    re-read), on the mutating thread.
 
     Example::
 
@@ -172,6 +209,9 @@ class JobStore:
             check_same_thread=False,
         )
         self._conn.row_factory = sqlite3.Row
+        if self.path is not None:
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
         with self._lock, self._conn:
             self._conn.executescript(_SCHEMA)
             # Schema migration for databases created before the per-job
@@ -230,20 +270,28 @@ class JobStore:
             if listener in self._listeners:
                 self._listeners.remove(listener)
 
-    def _notify(self, job_id: str) -> None:
-        """Push the current record for ``job_id`` to every listener."""
-        if not self._listeners:
-            return
-        record = self.get(job_id)
-        if record is None:  # pragma: no cover - row deleted underneath us
-            return
+    def _notify(self, record: JobRecord) -> None:
+        """Push the record a write just produced to every listener."""
         for listener in list(self._listeners):
             try:
                 listener(record)
             except Exception:  # noqa: BLE001 - a read model must not kill writers
                 logging.getLogger("repro.service.jobs").exception(
-                    "job-store listener failed for job %s", job_id
+                    "job-store listener failed for job %s", record.id
                 )
+
+    def _write(self, op: str, sql: str, params: Tuple = (), **overrides) -> List[JobRecord]:
+        """Run one ``... RETURNING`` write in its own transaction; push its records.
+
+        ``overrides`` supply record fields the write did not return (see
+        :meth:`_finalize`).
+        """
+        with self._timed_op(op), self._lock, self._conn:
+            rows = self._conn.execute(sql, params).fetchall()
+        records = [self._record(row, **overrides) for row in rows]
+        for record in records:
+            self._notify(record)
+        return records
 
     # ------------------------------------------------------------------
     # Submission and lookup
@@ -257,16 +305,13 @@ class JobStore:
         dedupe_key: Optional[str] = None,
     ) -> JobRecord:
         """Append a new ``queued`` job and return its record."""
-        job_id = uuid.uuid4().hex[:16]
-        now = time.time()
-        with self._timed_op("submit"), self._lock, self._conn:
-            self._conn.execute(
-                "INSERT INTO jobs (id, kind, spec, dedupe_key, state, submitted_at)"
-                " VALUES (?, ?, ?, ?, 'queued', ?)",
-                (job_id, kind, json.dumps(spec), dedupe_key, now),
-            )
-        self._notify(job_id)
-        return self.get(job_id)
+        (record,) = self._write(
+            "submit",
+            "INSERT INTO jobs (id, kind, spec, dedupe_key, state, submitted_at)"
+            " VALUES (?, ?, ?, ?, 'queued', ?) RETURNING *",
+            (uuid.uuid4().hex[:16], kind, json.dumps(spec), dedupe_key, time.time()),
+        )
+        return record
 
     def submit_or_reuse(
         self, kind: str, spec: Dict[str, Any], dedupe_key: str
@@ -355,34 +400,25 @@ class JobStore:
         """Atomically move the oldest ``queued`` job to ``running``.
 
         Returns the claimed record, or None when the queue is empty.  The
-        select-then-update pair runs under the store lock and in one sqlite
-        transaction, so two worker threads can never claim the same job.
+        oldest-queued lookup is a subquery of the one ``UPDATE``, so two
+        worker threads can never claim the same job.
         """
-        with self._timed_op("claim_next"), self._lock, self._conn:
-            row = self._conn.execute(
-                "SELECT id FROM jobs WHERE state = 'queued'"
-                " ORDER BY submitted_at LIMIT 1"
-            ).fetchone()
-            if row is None:
-                return None
-            claimed = self._conn.execute(
-                "UPDATE jobs SET state = 'running', started_at = ?"
-                " WHERE id = ? AND state = 'queued'",
-                (time.time(), row["id"]),
-            ).rowcount
-            if not claimed:  # pragma: no cover - only under external writers
-                return None
-        self._notify(row["id"])
-        return self.get(row["id"])
+        claimed = self._write(
+            "claim_next",
+            "UPDATE jobs SET state = 'running', started_at = ? WHERE id ="
+            " (SELECT id FROM jobs WHERE state = 'queued' ORDER BY submitted_at LIMIT 1)"
+            " RETURNING *",
+            (time.time(),),
+        )
+        return claimed[0] if claimed else None
 
     def update_progress(self, job_id: str, done: int, total: int) -> None:
         """Record chunk progress for a running job."""
-        with self._timed_op("update_progress"), self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE jobs SET chunks_done = ?, chunks_total = ? WHERE id = ?",
-                (int(done), int(total), job_id),
-            )
-        self._notify(job_id)
+        self._write(
+            "update_progress",
+            "UPDATE jobs SET chunks_done = ?, chunks_total = ? WHERE id = ? RETURNING *",
+            (int(done), int(total), job_id),
+        )
 
     def record_phases(self, job_id: str, phases: Dict[str, float]) -> None:
         """Persist a job's wall-time phase breakdown (seconds per phase).
@@ -391,12 +427,11 @@ class JobStore:
         outcome); surfaced through :meth:`JobRecord.to_dict` under
         ``timings.phases`` and by ``repro jobs --stats``.
         """
-        with self._timed_op("record_phases"), self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE jobs SET phases = ? WHERE id = ?",
-                (json.dumps({k: float(v) for k, v in phases.items()}), job_id),
-            )
-        self._notify(job_id)
+        self._write(
+            "record_phases",
+            "UPDATE jobs SET phases = ? WHERE id = ? RETURNING *",
+            (json.dumps({k: float(v) for k, v in phases.items()}), job_id),
+        )
 
     def record_trace(self, job_id: str, trace: Dict[str, Any]) -> None:
         """Persist a job's finished span-record tree payload.
@@ -447,19 +482,16 @@ class JobStore:
         result: Optional[Dict[str, Any]] = None,
         error: Optional[str] = None,
     ) -> None:
-        with self._timed_op("finalize"), self._lock, self._conn:
-            self._conn.execute(
-                "UPDATE jobs SET state = ?, result = ?, error = ?, finished_at = ?"
-                " WHERE id = ?",
-                (
-                    state,
-                    json.dumps(result) if result is not None else None,
-                    error,
-                    time.time(),
-                    job_id,
-                ),
-            )
-        self._notify(job_id)
+        # The result is encoded here, once: the row, the pushed record and
+        # every GET body (JobRecord.to_json_bytes) share this text.
+        result_json = json.dumps(result) if result is not None else None
+        self._write(
+            "finalize",
+            "UPDATE jobs SET state = ?, result = ?, error = ?, finished_at = ?"
+            f" WHERE id = ? RETURNING {_HEAD_COLUMNS}",
+            (state, result_json, error, time.time(), job_id),
+            result_json=result_json,
+        )
 
     def request_cancel(self, job_id: str) -> Optional[JobRecord]:
         """Ask for a job to be cancelled; returns the updated record.
@@ -469,22 +501,17 @@ class JobStore:
         progress hook notices (cooperative cancellation between chunks).
         Terminal jobs are returned unchanged; unknown ids return None.
         """
-        with self._lock, self._conn:
-            record = self.get(job_id)
-            if record is None or record.is_terminal:
-                return record
-            if record.state == "queued":
-                self._conn.execute(
-                    "UPDATE jobs SET state = 'cancelled', cancel_requested = 1,"
-                    " finished_at = ? WHERE id = ? AND state = 'queued'",
-                    (time.time(), job_id),
-                )
-            else:
-                self._conn.execute(
-                    "UPDATE jobs SET cancel_requested = 1 WHERE id = ?", (job_id,)
-                )
-        self._notify(job_id)
-        return self.get(job_id)
+        # One statement decides and writes (SET expressions read the old
+        # row), so a claim cannot slip between the state check and the update.
+        updated = self._write(
+            "request_cancel",
+            "UPDATE jobs SET cancel_requested = 1,"
+            " state = CASE state WHEN 'queued' THEN 'cancelled' ELSE state END,"
+            " finished_at = CASE state WHEN 'queued' THEN ? ELSE finished_at END"
+            " WHERE id = ? AND state IN ('queued', 'running') RETURNING *",
+            (time.time(), job_id),
+        )
+        return updated[0] if updated else self.get(job_id)
 
     def cancel_requested(self, job_id: str) -> bool:
         """True when cancellation has been requested for this job."""
@@ -502,20 +529,11 @@ class JobStore:
         returned to the queue with its progress reset.  Returns the number of
         recovered jobs.
         """
-        with self._lock, self._conn:
-            interrupted = [
-                row["id"]
-                for row in self._conn.execute(
-                    "SELECT id FROM jobs WHERE state = 'running'"
-                ).fetchall()
-            ]
-            self._conn.execute(
-                "UPDATE jobs SET state = 'queued', started_at = NULL,"
-                " chunks_done = 0, chunks_total = 0 WHERE state = 'running'"
-            )
-        for job_id in interrupted:
-            self._notify(job_id)
-        return len(interrupted)
+        return len(self._write(
+            "recover_interrupted",
+            "UPDATE jobs SET state = 'queued', started_at = NULL,"
+            " chunks_done = 0, chunks_total = 0 WHERE state = 'running' RETURNING *",
+        ))
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -537,7 +555,9 @@ class JobStore:
         return f"JobStore(path={where!r})"
 
     @staticmethod
-    def _record(row: sqlite3.Row) -> JobRecord:
+    def _record(row: sqlite3.Row, **overrides) -> JobRecord:
+        if "result_json" not in overrides:
+            overrides["result_json"] = row["result"]
         return JobRecord(
             id=row["id"],
             kind=row["kind"],
@@ -546,11 +566,11 @@ class JobStore:
             dedupe_key=row["dedupe_key"],
             chunks_done=row["chunks_done"],
             chunks_total=row["chunks_total"],
-            result=json.loads(row["result"]) if row["result"] is not None else None,
             error=row["error"],
             cancel_requested=bool(row["cancel_requested"]),
             submitted_at=row["submitted_at"],
             started_at=row["started_at"],
             finished_at=row["finished_at"],
             phases=json.loads(row["phases"]) if row["phases"] is not None else None,
+            **overrides,
         )

@@ -28,10 +28,13 @@ HTTP half lives in :mod:`repro.service.server`).  It owns
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import threading
 import time
 from typing import Any, Dict, Optional, Tuple
+
+import numpy as np
 
 from repro.core.expected_time import ANALYTIC_NUMERICS
 from repro.devtools.lockwatch import tracked_condition
@@ -62,18 +65,21 @@ def campaign_result_payload(result) -> Dict[str, Any]:
     client can rebuild a bit-identical ``CampaignResult`` from the payload
     (the acceptance test of the service pins this down).
     """
+    # Each strategy's samples become one float64 array, shared by the sample
+    # lists and the summary statistics (which would otherwise convert them
+    # again for every mean, std and ranking key).
+    arrays = dataclasses.replace(result, makespans={
+        name: np.asarray(samples, dtype=float) for name, samples in result.makespans.items()
+    })
     return {
         "type": "campaign",
         "num_runs": result.num_runs,
-        "makespans": {
-            name: [float(x) for x in samples]
-            for name, samples in result.makespans.items()
-        },
+        "makespans": {name: samples.tolist() for name, samples in arrays.makespans.items()},
         "summary": {
-            name: {"mean": result.mean(name), "std": result.std(name)}
-            for name in result.makespans
+            name: {"mean": arrays.mean(name), "std": arrays.std(name)}
+            for name in arrays.makespans
         },
-        "ranking": result.ranking(),
+        "ranking": arrays.ranking(),
     }
 
 

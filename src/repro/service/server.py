@@ -284,7 +284,7 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         if record is None:
             self._send(404, {"error": f"no such job: {job_id}"})
         else:
-            self._send(200, {"job": record.to_dict()})
+            self._send_bytes(200, record.to_json_bytes(), "application/json")
 
     def _get_trace(self, job_id: str) -> None:
         store = self.service.scheduler.store

@@ -9,9 +9,12 @@ claim, per-chunk progress, finalize, cancel, restart recovery) lands in the
 snapshot on the mutating thread, and the read endpoints
 (``GET /v1/jobs``, ``GET /v1/jobs/{id}``, ``/v1/healthz``) are answered
 entirely from memory.  The hottest representation -- the serialized JSON
-body of ``GET /v1/jobs/{id}`` -- is cached per job and invalidated on
-transition, so steady-state polling costs one dict lookup, zero
-serialization and zero sqlite.
+body of ``GET /v1/jobs/{id}`` for a job still in flight -- is cached per job
+and invalidated on transition, so steady-state polling costs one dict
+lookup, zero serialization and zero sqlite.  A finished job's body is
+spliced per request from its record's stored result text
+(:meth:`JobRecord.to_json_bytes`), so the snapshot holds each result once,
+encoded, and never decodes it.
 
 The snapshot is a *cache of truth, not truth*: the sqlite store remains the
 system of record (durability, restart recovery), the snapshot is rebuilt
@@ -32,7 +35,6 @@ Example::
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Any, Dict, List, Optional
 
@@ -133,8 +135,10 @@ class ServiceSnapshot:
     def job_bytes(self, job_id: str) -> Optional[bytes]:
         """Serialized ``{"job": {...}}`` response body for one job.
 
-        Cached until the job's next transition: the steady-state status poll
-        costs a dict lookup, not a ``json.dumps``.
+        A body without a result is cached until the job's next transition:
+        the steady-state status poll costs a dict lookup, not a
+        ``json.dumps``.  A body with one is spliced from the record's stored
+        text on each call rather than kept as a second copy of the result.
         """
         with self._lock:
             body = self._body_cache.get(job_id)
@@ -143,8 +147,9 @@ class ServiceSnapshot:
             record = self._records.get(job_id)
             if record is None:
                 return None
-            body = json.dumps({"job": record.to_dict()}).encode("utf-8")
-            self._body_cache[job_id] = body
+            body = record.to_json_bytes()
+            if record.result_json is None:
+                self._body_cache[job_id] = body
             return body
 
     def list_jobs(
