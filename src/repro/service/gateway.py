@@ -535,12 +535,18 @@ class GatewayServer:
                 status = await self._serve_events(writer, path[len("/v1/jobs/"):-len("/events")])
                 close = True  # an event stream uses up its connection
             else:
-                status, payload, content_type = await self._respond(
-                    method, path, query, body, client_key
-                )
-                await self._write_payload(
-                    writer, status, payload, content_type, keep_alive=keep_alive
-                )
+                try:
+                    status, payload, content_type = await self._respond(
+                        method, path, query, body, client_key
+                    )
+                    await self._write_payload(
+                        writer, status, payload, content_type, keep_alive=keep_alive
+                    )
+                finally:
+                    if method == "POST" and path == "/v1/jobs":
+                        # The reply goes out before the workers wake (see
+                        # JobScheduler.wake).
+                        self.scheduler.wake()
         except (ConnectionResetError, BrokenPipeError):
             close = True
         except asyncio.CancelledError:

@@ -132,6 +132,7 @@ class JobScheduler:
         >>> scheduler = JobScheduler(JobStore(), num_workers=2)
         >>> scheduler.start()
         >>> record, reused = scheduler.submit_campaign(spec.to_dict())  # doctest: +SKIP
+        >>> scheduler.wake()   # start it now, not at the workers' next poll
         >>> scheduler.stop()
 
     Submissions validate the spec before any row exists and deduplicate by
@@ -193,7 +194,8 @@ class JobScheduler:
         :exc:`KeyError` instead of a failed job.  Returns ``(record, reused)``
         where ``reused`` is True when an existing queued/running/done job
         with the same scenario hash (and chunk plan) was returned instead of
-        a new one.
+        a new one.  Idle workers pick the job up at their next poll of the
+        queue, or at once after :meth:`wake`.
         """
         spec = ScenarioSpec.from_dict(scenario)
         chunk_size = self._validated_chunk_size(chunk_size, num_runs=spec.num_runs)
@@ -219,7 +221,8 @@ class JobScheduler:
         """Enqueue a registry experiment (E1-E10) run.
 
         ``params`` are forwarded to the experiment function as keyword
-        arguments (e.g. ``{"num_runs": 500, "seed": 3}``).
+        arguments (e.g. ``{"num_runs": 500, "seed": 3}``).  Workers pick the
+        job up as for :meth:`submit_campaign`.
         """
         key = experiment.upper()
         if key not in EXPERIMENTS:
@@ -304,13 +307,24 @@ class JobScheduler:
                 labelnames=("kind",),
             ).inc(kind=kind)
             self._update_queue_depth()
-            with self._wake:
-                self._wake.notify_all()
         log_event(
             _logger, "job.submitted",
             job_id=record.id, kind=kind, reused=reused, state=record.state,
         )
         return record, reused
+
+    def wake(self) -> None:
+        """Wake idle workers to claim queued jobs now.
+
+        Submitting does not wake them: an idle worker polls the queue every
+        0.1 s.  The HTTP front ends call this once a submission's reply is
+        written.  A worker woken by the submission itself would start the
+        job while the reply is still being sent, and the two would take
+        turns at the interpreter lock, so the reply's latency would depend
+        on thread timing.
+        """
+        with self._wake:
+            self._wake.notify_all()
 
     def _update_queue_depth(self) -> None:
         _metrics.get_registry().gauge(
@@ -350,8 +364,7 @@ class JobScheduler:
         it all the same).
         """
         self._stop.set()
-        with self._wake:
-            self._wake.notify_all()
+        self.wake()
         if wait:
             for thread in self._threads:
                 thread.join(timeout)
@@ -370,9 +383,9 @@ class JobScheduler:
             job = self.store.claim_next()
             if job is None:
                 with self._wake:
-                    # A submit that lands between claim_next and this wait
-                    # notifies before we sleep and is simply picked up by the
-                    # timeout; the notification only shortens the idle wait.
+                    # A wake that lands between claim_next and this wait
+                    # notifies before we sleep; its job is simply picked up
+                    # by the timeout.  A wake only shortens the idle wait.
                     self._wake.wait(timeout=0.1)
                 continue
             self.execute(job)

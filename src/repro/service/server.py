@@ -359,10 +359,14 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         except (KeyError, TypeError, ValueError) as exc:
             self._send(400, {"error": str(exc)})
             return
-        self._send(
-            200 if reused else 201,
-            {"job": record.to_dict(include_result=False), "deduplicated": reused},
-        )
+        try:
+            self._send(
+                200 if reused else 201,
+                {"job": record.to_dict(include_result=False), "deduplicated": reused},
+            )
+        finally:
+            # The reply goes out before the workers wake (see JobScheduler.wake).
+            self.service.scheduler.wake()
 
     def _preview_sweep(self) -> None:
         body = self._read_json()

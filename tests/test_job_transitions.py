@@ -22,6 +22,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 import urllib.request
 from pathlib import Path
@@ -33,7 +34,8 @@ from repro.runtime.scenario import ChainSpec, FailureSpec, ScenarioSpec
 from repro.service.gateway import GatewayServer
 from repro.service.jobs import JobStore
 from repro.service.queue import JobScheduler, campaign_result_payload
-from repro.service.server import ScenarioServer
+from repro.service.client import ServiceClient
+from repro.service.server import ScenarioServer, _ServiceRequestHandler
 from repro.service.snapshot import ServiceSnapshot
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -196,6 +198,53 @@ class TestTransitionPushes:
             assert all(
                 (r.state, r.chunks_done, r.started_at) == ("queued", 0, None) for r in pushed
             )
+
+
+
+class TestWakeAfterReply:
+    """A front end wakes the workers only once a submission's reply is sent.
+
+    Woken by the submission itself, a worker starts the job while the reply
+    is still being written, and how long the reply waited for the
+    interpreter lock then depended on thread timing.
+    """
+
+    @pytest.mark.parametrize("front_end", ["gateway", "threaded"])
+    def test_front_end_replies_before_it_wakes_the_workers(self, front_end, monkeypatch):
+        events = []
+        with JobStore() as store:
+            scheduler = JobScheduler(store)
+            scheduler.start = lambda: None  # no workers: only the order matters
+            scheduler.wake = lambda: events.append("wake")
+            if front_end == "gateway":
+                server = GatewayServer(scheduler, port=0)
+                write = server._write_payload
+
+                async def recorded_write(*args, **kwargs):
+                    await write(*args, **kwargs)
+                    events.append("reply")
+
+                server._write_payload = recorded_write
+            else:
+                server = ScenarioServer(scheduler, port=0)
+                send = _ServiceRequestHandler._send
+
+                def recorded_send(self, *args, **kwargs):
+                    send(self, *args, **kwargs)
+                    events.append("reply")
+
+                monkeypatch.setattr(_ServiceRequestHandler, "_send", recorded_send)
+            server.start()
+            try:
+                job = ServiceClient(server.url).submit_campaign(small_spec())
+                deadline = time.monotonic() + 10.0
+                while len(events) < 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                seen = list(events)  # shutdown wakes the workers too
+            finally:
+                server.shutdown()
+            assert seen == ["reply", "wake"]
+            assert store.get(job["id"]).state == "queued"
 
 
 class TestWalDurability:
